@@ -88,7 +88,9 @@ object Fig17Patterns {
   def main(args: Array[String]): Unit = println(Experiments.patternsCaseStudy())
 }
 
-/** Distributed pipeline end-to-end: SparkIPPV vs the local engine. */
+/** Distributed pipeline end-to-end: IPPV over Spark clique enumeration vs
+  * the local engine.
+  */
 object SparkPipelineDemo {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.build("spark-ippv")

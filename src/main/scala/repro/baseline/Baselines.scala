@@ -7,36 +7,24 @@ import scala.collection.mutable
 
 /** Comparator algorithms from the paper's evaluation (Section 6).
   *
-  * [[LDSflow]] (Qin et al. 2015) and [[LTDS]] (Samusevich et al. 2016) are
+  * LDSflow (Qin et al. 2015) and LTDS (Samusevich et al. 2016) are
   * flow-first exact top-k locally-densest algorithms for h = 2 and h = 3.
   * Their defining performance trait versus IPPV — the paper's explicit
   * claim — is *loose bounds* (core-based only, no convex-programming
   * tightening) and whole-graph flow verification, so refinement and
   * verification dominate. We realize exactly that shape by running the
   * IPPV driver with `useCP = false` (exact flow-based refinement only) and
-  * `fastVerify = false` (Algorithm-4 whole-graph networks). Both remain
-  * exact, so results always agree with IPPV — only cost differs.
+  * `fastVerify = false` (Algorithm-4 whole-graph networks): [[flowTopK]].
+  * It remains exact, so results always agree with IPPV — only cost differs.
   *
-  * [[GreedyCDS]] is the kClist++-based greedy top-k CDS extractor (no
+  * [[greedyTopK]] is the kClist++-based greedy top-k CDS extractor (no
   * locally-densest guarantee): run Frank–Wolfe, take the densest prefix of
   * the r-descending order, report its components, remove, repeat.
   */
 object Baselines {
 
-  /** Flow-based top-k locally densest subgraphs (LDS), h = 2. */
-  def ldsFlow(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] = {
-    val inst = CliqueEnum.enumerate(g, 2)
-    IPPV.topK(g, inst, k, IPPV.Config(useCP = false, fastVerify = false))
-  }
-
-  /** Flow-based top-k locally triangle-densest subgraphs (LTDS), h = 3. */
-  def ltds(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] = {
-    val inst = CliqueEnum.enumerate(g, 3)
-    IPPV.topK(g, inst, k, IPPV.Config(useCP = false, fastVerify = false))
-  }
-
-  /** Generic flow-first top-k for any instance set (used by benches to
-    * time the baseline on pre-enumerated instances).
+  /** Flow-first exact top-k for any instance set: LDSflow on the h = 2
+    * instances (edges), LTDS on the h = 3 instances (triangles).
     */
   def flowTopK(g: LocalGraph, inst: InstanceSet, k: Int): Seq[IPPV.Lhcds] =
     IPPV.topK(g, inst, k, IPPV.Config(useCP = false, fastVerify = false))

@@ -39,9 +39,8 @@ object IPPV {
       fastVerify: Boolean = true,   // Algorithm 5 vs Algorithm 4
       useCP: Boolean = true,        // false = flow-only refinement (baseline shape)
       maxRefineRounds: Int = 3,     // CP rounds per candidate before exact fallback
-      // Injectable Frank–Wolfe runner: (instances, iterations) => state.
-      // The default is the sequential SEQ-kClist++; SparkIPPV injects the
-      // distributed per-partition variant for large instance sets.
+      // Frank–Wolfe runner: (instances, iterations) => state. Always the
+      // sequential SEQ-kClist++; a caller may wrap it, e.g. to time it.
       fwRunner: (InstanceSet, Int) => KClistPP.CPState = KClistPP.fresh,
   )
 
@@ -55,7 +54,6 @@ object IPPV {
     var fwIterations = 0L
     var isDensestCalls = 0L
     var verifyCalls = 0L
-    var cheapVerifyHits = 0L
     var exactFallbacks = 0L
     var pruneRemoved = 0L
     override def toString: String =

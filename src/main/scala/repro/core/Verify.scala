@@ -6,16 +6,17 @@ import scala.collection.mutable
 
 /** LhCDS verification (Section 4.4): flow-network construction
   * (DeriveCompact), the self-densest check (IsDensest), the basic
-  * whole-graph verification (Algorithm 4), and the fast BFS-bounded
-  * verification with boundary-instance correction (Algorithm 5).
+  * whole-graph verification (Algorithm 4), and the fast verification over
+  * the ub ≥ ρ closure of the candidate (Algorithm 5's shape, see
+  * [[fastVerify]]).
   *
   * ==Exact arithmetic==
   * The paper perturbs the threshold to `ρ − 1/|V|²` (Theorem 5). We go one
   * step further and compute with an *exact infinitesimal*: capacities are
-  * elements of Z[δ] scaled by `M = den · lcm(1..h)` so every main part is
-  * an integer and the perturbation is `deltaSign · hM · δ`. [[Dinic]] runs
-  * on these pairs directly, so min cuts are exact — no floating-point
-  * epsilon anywhere in verification.
+  * elements of Z[δ] scaled by `M = den`, so every main part is an integer
+  * and the perturbation is `deltaSign · h · den · δ`. [[Dinic]] runs on
+  * these pairs directly, so min cuts are exact — no floating-point epsilon
+  * anywhere in verification.
   *
   * ==Cut semantics==
   * `DeriveCompact(ρ − δ)` with the *largest* optimal source side returns
@@ -26,72 +27,48 @@ import scala.collection.mutable
   */
 object Verify {
 
-  /** lcm(1..h) — every boundary-gadget denominator `cnt ≤ h` divides it. */
-  def lcmUpTo(h: Int): Long = {
-    def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
-    (1L to h.toLong).foldLeft(1L)((acc, k) => acc / gcd(acc, k) * k)
-  }
-
-  /** Solve the flow network of Figure 6/7 and return the largest optimal
+  /** Solve the flow network of Figure 6 and return the largest optimal
     * source side, as a mask over `0 until nT`.
     *
     * @param nT        number of graph vertices in the network
     * @param h         instance arity
-    * @param internal  instances fully inside the vertex space (member ids)
-    * @param boundary  boundary instances: the members inside the vertex
-    *                  space only (cnt = array length < h); each gives its
-    *                  members arcs of capacity h/cnt in and h−1 out, and
-    *                  adds h/cnt to their source capacity (Alg. 4 l. 11-16)
+    * @param instances the instances, as member ids in `0 until nT`
     * @param num, den  the threshold ρ = num/den
     * @param deltaSign −1 for ρ−δ (maximal compact subgraphs), +1 for ρ+δ
     *                  (densest-subgraph test), 0 for unperturbed ρ
+    * @throws ArithmeticException if a capacity or flow total could
+    *                  overflow a `Long`
     */
   def deriveCompact(
       nT: Int,
       h: Int,
-      internal: Array[Array[Int]],
-      boundary: Array[Array[Int]],
+      instances: Array[Array[Int]],
       num: Long,
       den: Long,
       deltaSign: Int,
   ): Array[Boolean] = {
     require(den >= 1 && num >= 0)
-    val L = lcmUpTo(h)
-    val M = den * L
-    val nNodes = 2 + nT + internal.length + boundary.length
-    val s = nT + internal.length + boundary.length
+    // Every capacity and every flow total is at most |Ψ|·h·den (source
+    // side) or nT·h·max(num, den) (sink side, both δ coordinates).
+    Math.multiplyExact(Math.multiplyExact(instances.length.toLong, h.toLong), den)
+    Math.multiplyExact(Math.multiplyExact(nT.toLong, h.toLong), math.max(num, den))
+    val nNodes = 2 + nT + instances.length
+    val s = nT + instances.length
     val t = s + 1
     val net = new Dinic(nNodes)
 
-    // source capacities: instance degree (scaled), plus boundary additions
+    // source capacities: instance degree, scaled by den
     val srcCapMain = new Array[Long](nT)
     var i = 0
-    while (i < internal.length) {
+    while (i < instances.length) {
       val node = nT + i
-      val mem = internal(i)
+      val mem = instances(i)
       var j = 0
       while (j < mem.length) {
         val v = mem(j)
-        net.addEdge(node, v, (h - 1) * M)
-        net.addEdge(v, node, M)
-        srcCapMain(v) += M
-        j += 1
-      }
-      i += 1
-    }
-    i = 0
-    while (i < boundary.length) {
-      val node = nT + internal.length + i
-      val mem = boundary(i)
-      val cnt = mem.length
-      require(cnt >= 1 && cnt < h, s"boundary instance must have 1..h-1 members inside, got $cnt")
-      val capIn = h * M / cnt // (1 + (h-cnt)/cnt) scaled by M; cnt | L so exact
-      var j = 0
-      while (j < mem.length) {
-        val v = mem(j)
-        net.addEdge(node, v, (h - 1) * M)
-        net.addEdge(v, node, capIn)
-        srcCapMain(v) += capIn
+        net.addEdge(node, v, (h - 1) * den)
+        net.addEdge(v, node, den)
+        srcCapMain(v) += den
         j += 1
       }
       i += 1
@@ -99,8 +76,8 @@ object Verify {
     var v = 0
     while (v < nT) {
       if (srcCapMain(v) > 0) net.addEdge(s, v, srcCapMain(v))
-      // v -> t with capacity ρ̃ · h (scaled): main = num·h·L, inf = deltaSign·h·M
-      net.addEdge(v, t, num * h * L, deltaSign.toLong * h * M)
+      // v -> t with capacity ρ̃ · h, scaled by den: main = num·h, inf = deltaSign·h·den
+      net.addEdge(v, t, num * h, deltaSign.toLong * h * den)
       v += 1
     }
     net.maxflow(s, t)
@@ -122,7 +99,7 @@ object Verify {
     var improved = true
     while (improved) {
       improved = false
-      val side = deriveCompact(n, inst.h, members, Array.empty, bestNum, bestDen, +1)
+      val side = deriveCompact(n, inst.h, members, bestNum, bestDen, +1)
       val vs = (0 until n).filter(side(_)).toArray
       if (vs.nonEmpty) {
         val cnt = inst.countWithin(side)
@@ -133,7 +110,7 @@ object Verify {
       }
     }
     // largest maximizer at the optimum
-    val side = deriveCompact(n, inst.h, members, Array.empty, bestNum, bestDen, -1)
+    val side = deriveCompact(n, inst.h, members, bestNum, bestDen, -1)
     val vs = (0 until n).filter(side(_)).toArray
     (vs, bestNum, bestDen)
   }
@@ -146,7 +123,7 @@ object Verify {
     if (sub.size == 0) return sSorted.length <= 1
     val num = sub.size.toLong
     val den = sSorted.length.toLong
-    val side = deriveCompact(sSorted.length, inst.h, sub.members, Array.empty, num, den, +1)
+    val side = deriveCompact(sSorted.length, inst.h, sub.members, num, den, +1)
     !side.exists(identity)
   }
 
@@ -160,7 +137,7 @@ object Verify {
     val num = inst.countWithin(mask)
     val den = sSorted.length.toLong
     if (num == 0) return false
-    val side = deriveCompact(g.n, inst.h, inst.members, Array.empty, num, den, -1)
+    val side = deriveCompact(g.n, inst.h, inst.members, num, den, -1)
     isComponentOf(g, sSorted, side)
   }
 
@@ -179,8 +156,7 @@ object Verify {
     * predicate as on the whole graph — no boundary gadget needed. (The
     * literal Algorithm-5 truncation at lb > ρ plus the P correction can
     * miss a witness superset that connects to S only through lb > ρ
-    * vertices; the closure above removes that gap. The paper's boundary
-    * gadget remains available in [[deriveCompact]].)
+    * vertices; the closure above removes that gap.)
     *
     * Two shortcut exits keep the common cases cheap, mirroring the paper:
     *  - early False: a member of S with lb > ρ, or a neighbor of S with
@@ -235,7 +211,7 @@ object Verify {
 
     val tVerts = (0 until g.n).filter(inT(_)).toArray
     val sub = inst.remapTo(tVerts)
-    val side = deriveCompact(tVerts.length, inst.h, sub.members, Array.empty, num, den, -1)
+    val side = deriveCompact(tVerts.length, inst.h, sub.members, num, den, -1)
     val newId = new Array[Int](g.n)
     java.util.Arrays.fill(newId, -1)
     var i = 0

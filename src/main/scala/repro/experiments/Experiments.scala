@@ -5,7 +5,7 @@ import repro.SynthGraphs
 import repro.SynthGraphs.NamedGraph
 import repro.baseline.Baselines
 import repro.clique.{CliqueEnum, SparkCliqueEnum}
-import repro.core.{IPPV, SparkIPPV}
+import repro.core.IPPV
 import repro.graph.{GraphMeasures, LocalGraph}
 import repro.pattern.PatternEnum
 
@@ -282,23 +282,22 @@ object Experiments {
 
   // ------------------------------------------------------ Spark end-to-end
 
-  /** Distributed pipeline demonstration: SparkIPPV on one dataset must
-    * match the local engine; returns timing info.
+  /** Distributed pipeline demonstration: IPPV over the DataFrame clique
+    * enumeration on one dataset must match the local engine; returns
+    * timing info.
     */
   def sparkPipeline(spark: SparkSession, dataset: NamedGraph, h: Int = 3, k: Int = 5): String = {
     val g = dataset.graph
     val local = time(IPPV.topK(g, CliqueEnum.enumerate(g, h), k))
-    val dist = time(SparkIPPV.topK(spark, g, h, k))
+    val dist = time(IPPV.topK(g, SparkCliqueEnum.fromLocal(spark, g, h), k))
     require(local.value.map(_.vertices.toSeq) == dist.value.map(_.vertices.toSeq),
-      "SparkIPPV and IPPV disagree")
+      "IPPV over Spark-enumerated cliques disagrees with local IPPV")
     formatTable(
-      Seq("engine", "seconds", "#found", "top-1 density"),
-      Seq(
-        Seq("local IPPV", f"${local.seconds}%.2f", local.value.length.toString,
-          local.value.headOption.map(r => f"${r.density}%.2f").getOrElse("-")),
-        Seq("SparkIPPV", f"${dist.seconds}%.2f", dist.value.length.toString,
-          dist.value.headOption.map(r => f"${r.density}%.2f").getOrElse("-")),
-      ),
+      Seq("enumeration", "seconds", "#found", "top-1 density"),
+      Seq(("local", local), ("Spark", dist)).map { case (name, r) =>
+        Seq(name, f"${r.seconds}%.2f", r.value.length.toString,
+          r.value.headOption.map(x => f"${x.density}%.2f").getOrElse("-"))
+      },
     )
   }
 }

@@ -11,11 +11,9 @@ import scala.collection.mutable
   * lives purely in the δ coordinate, so min cuts are computed with no
   * floating-point epsilon anywhere.
   *
-  * Besides the flow value, the solver exposes both sides of the minimum
-  * cut: `minCutSourceSide` (vertices reachable from s in the residual —
-  * the smallest optimal source side) and `maxCutSourceSide` (complement of
-  * the vertices that reach t — the largest optimal source side). Theorem 5
-  * requires the largest maximizer, i.e. the latter.
+  * Besides the flow value, the solver exposes the largest optimal source
+  * side of the minimum cut, `maxCutSourceSide` (complement of the vertices
+  * that reach t in the residual): Theorem 5 requires the largest maximizer.
   */
 final class Dinic(val numVertices: Int) {
   private val head = Array.fill(numVertices)(-1)
@@ -104,9 +102,7 @@ final class Dinic(val numVertices: Int) {
     (0L, 0L) // unreachable
   }
 
-  private var ranMaxflow = false
-  private var srcCache = -1
-  private var sinkCache = -1
+  private var sink = -1 // set by maxflow
 
   /** Compute the max flow from s to t; returns (main, inf) of the value. */
   def maxflow(s: Int, t: Int): (Long, Long) = {
@@ -121,51 +117,25 @@ final class Dinic(val numVertices: Int) {
         if (positive(fm, fi)) { totalM += fm; totalI += fi } else go = false
       }
     }
-    ranMaxflow = true; srcCache = s; sinkCache = t
+    sink = t
     (totalM, totalI)
-  }
-
-  /** Smallest optimal source side: vertices reachable from s in the
-    * residual graph. Call after [[maxflow]].
-    */
-  def minCutSourceSide(): Array[Boolean] = {
-    require(ranMaxflow, "call maxflow first")
-    val seen = Array.fill(numVertices)(false)
-    val q = new mutable.ArrayDeque[Int]()
-    seen(srcCache) = true; q.append(srcCache)
-    while (q.nonEmpty) {
-      val v = q.removeHead()
-      var e = head(v)
-      while (e != -1) {
-        if (positive(capMain(e), capInf(e)) && !seen(dest(e))) {
-          seen(dest(e)) = true; q.append(dest(e))
-        }
-        e = nxt(e)
-      }
-    }
-    seen
   }
 
   /** Largest optimal source side: complement of the vertices that can
     * reach t in the residual graph. Call after [[maxflow]].
     */
   def maxCutSourceSide(): Array[Boolean] = {
-    require(ranMaxflow, "call maxflow first")
+    require(sink >= 0, "call maxflow first")
     // reverse reachability to t over residual edges
     val reachT = Array.fill(numVertices)(false)
     val q = new mutable.ArrayDeque[Int]()
-    reachT(sinkCache) = true; q.append(sinkCache)
+    reachT(sink) = true; q.append(sink)
     while (q.nonEmpty) {
       val v = q.removeHead()
-      // incoming residual edges of v are the edges e with dest(e) == v and
-      // residual > 0; we iterate v's own list and inspect reverse edges:
-      // edge e from v with reverse e^1 into v having residual means the
-      // original edge dest->v ... simpler: scan v's adjacency; for each e
-      // (v -> u), the reverse e^1 (u -> v) has residual capMain(e^1).
+      // for each arc e = v -> u, the residual capacity of u -> v is at e ^ 1
       var e = head(v)
       while (e != -1) {
         val u = dest(e)
-        // residual capacity of edge u -> v is stored at e ^ 1
         if (positive(capMain(e ^ 1), capInf(e ^ 1)) && !reachT(u)) {
           reachT(u) = true; q.append(u)
         }

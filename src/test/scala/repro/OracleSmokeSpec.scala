@@ -2,40 +2,10 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Smoke tests exercising the provided SynthData generators and the DuckDB
-  * oracle end-to-end, so regressions in the harness itself are caught.
+/** Smoke test exercising the DuckDB oracle end-to-end on an edge table, so
+  * regressions in the harness itself are caught.
   */
 class OracleSmokeSpec extends SparkSpec {
-
-  test("SynthData lineitem aggregation matches DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 4).as("qty"))
-      .select(col("l_returnflag"), col("cnt"), col("qty"))
-    Oracle.assertEquivalent(
-      agg,
-      """SELECT l_returnflag,
-        |       count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 4) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li,
-    )
-  }
-
-  test("SynthData orders join customer matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001).cache()
-    val c = SynthData.customer(spark, sf = 0.001).cache()
-    val q = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment")
-      .agg(count(lit(1)).as("cnt"))
-    Oracle.assertEquivalent(
-      q,
-      """SELECT c_mktsegment, count(*) AS cnt
-        |FROM orders JOIN customer ON o_custkey = c_custkey
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c,
-    )
-  }
 
   test("graph edge statistics via the oracle (degree distribution head)") {
     val g = TestGraphs.random(30, 0.3, 17)

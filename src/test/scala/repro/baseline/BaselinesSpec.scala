@@ -11,7 +11,7 @@ class BaselinesSpec extends SparkSpec {
       val g = TestGraphs.random(8, 0.45, seed + 2000)
       val inst = CliqueEnum.enumerate(g, 2)
       val truth = BruteForce.allLhCDS(g, inst)
-      val got = Baselines.ldsFlow(g, g.n)
+      val got = Baselines.flowTopK(g, inst, g.n)
       assert(got.map(_.vertices.toSeq) == truth.map(_._1.toSeq), s"seed=$seed")
     }
   }
@@ -21,7 +21,7 @@ class BaselinesSpec extends SparkSpec {
       val g = TestGraphs.random(9, 0.5, seed + 2100)
       val inst = CliqueEnum.enumerate(g, 3)
       val truth = BruteForce.allLhCDS(g, inst)
-      val got = Baselines.ltds(g, g.n)
+      val got = Baselines.flowTopK(g, inst, g.n)
       assert(got.map(_.vertices.toSeq) == truth.map(_._1.toSeq), s"seed=$seed")
     }
   }
@@ -30,11 +30,11 @@ class BaselinesSpec extends SparkSpec {
     val (g, _) = repro.SynthGraphs.plantedCommunities(40, 0.05, Seq((8, 1.0), (6, 1.0)), 77)
     val inst3 = CliqueEnum.enumerate(g, 3)
     val ippv = IPPV.topK(g, inst3, 5)
-    val ltds = Baselines.ltds(g, 5)
+    val ltds = Baselines.flowTopK(g, inst3, 5)
     assert(ippv.map(_.vertices.toSeq) == ltds.map(_.vertices.toSeq))
     val inst2 = CliqueEnum.enumerate(g, 2)
     val ippv2 = IPPV.topK(g, inst2, 5)
-    val lds = Baselines.ldsFlow(g, 5)
+    val lds = Baselines.flowTopK(g, inst2, 5)
     assert(ippv2.map(_.vertices.toSeq) == lds.map(_.vertices.toSeq))
   }
 

@@ -1,85 +1,18 @@
 package repro.core
 
-import repro.{SparkSpec, TestGraphs}
-import repro.clique.CliqueEnum
+import repro.{SparkSpec, SynthGraphs, TestGraphs}
+import repro.clique.{CliqueEnum, SparkCliqueEnum}
 
-/** Distributed propose-phase pieces: SparkKClistPP and SparkTentativeGD. */
+/** The Spark pipeline: IPPV over DataFrame-enumerated cliques. */
 class SparkCoreSpec extends SparkSpec {
 
-  test("SparkKClistPP produces a feasible state aligned with the instance order") {
-    val g = TestGraphs.random(14, 0.45, 21)
-    val inst = CliqueEnum.enumerate(g, 3)
-    val st = SparkKClistPP.run(spark, inst, 15)
-    assert(st.t == 15)
-    for (i <- 0 until inst.size) {
-      assert(math.abs(st.alpha(i).sum - 1.0) < 1e-9)
-      assert(st.alpha(i).forall(_ >= 0.0))
-    }
-    assert(math.abs(st.r.sum - inst.size) < 1e-6)
-  }
-
-  test("distributed rounds converge on a single clique to the uniform level") {
-    val inst = CliqueEnum.enumerate(repro.graph.LocalGraph.complete(5), 3)
-    val st = SparkKClistPP.run(spark, inst, 150)
-    assert(st.r.forall(r => math.abs(r - 2.0) < 0.1), st.r.toSeq.toString)
-  }
-
-  test("distributed r separates dense from sparse like the sequential variant") {
-    val g = TestGraphs.twoCliquesBridged(6, 3)
-    val inst = CliqueEnum.enumerate(g, 3)
-    val dist = SparkKClistPP.run(spark, inst, 60)
-    val seq = KClistPP.fresh(inst, 60)
-    val dMin = (0 until 6).map(dist.r(_)).min
-    val dMax = (6 until 9).map(dist.r(_)).max
-    assert(dMin > dMax)
-    // both should approximate the same compact levels (2.222… and 1/3-ish)
-    for (v <- 0 until 9)
-      assert(math.abs(dist.r(v) - seq.r(v)) < 0.5, s"v=$v dist=${dist.r(v)} seq=${seq.r(v)}")
-  }
-
-  test("SparkTentativeGD blocks equal the local TentativeGD blocks") {
-    for (seed <- 1 to 4) {
-      val g = TestGraphs.random(13, 0.5, seed + 6000)
-      val inst = CliqueEnum.enumerate(g, 3)
-      if (inst.size > 0) {
-        val st = KClistPP.fresh(inst, 30)
-        val rSnapshot = st.r.clone()
-        val instDf = SparkTentativeGD.instancesDf(spark, inst)
-        val sparkBlocks = SparkTentativeGD.blocks(spark, instDf, rSnapshot)
-        val gd = TentativeGD.run(st) // mutates st but ordering used pre-mutation r
-        assert(sparkBlocks.map(_.toSeq).toSeq == gd.blocks.map(_.toSeq).toSeq, s"seed=$seed")
-      }
-    }
-  }
-
   test("SparkIPPV returns exactly the local IPPV results") {
-    for (seed <- 1 to 3) {
-      val g = TestGraphs.random(12, 0.5, seed + 6100)
-      val inst = CliqueEnum.enumerate(g, 3)
-      val local = IPPV.topK(g, inst, 10)
-      val viaSpark = SparkIPPV.topK(spark, g, 3, 10)
-      assert(viaSpark.map(_.vertices.toSeq) == local.map(_.vertices.toSeq), s"seed=$seed")
+    val graphs = (1 to 3).map(seed => (TestGraphs.random(12, 0.5, seed + 6100), 10)) :+
+      ((SynthGraphs.plantedCommunities(30, 0.06, Seq((7, 1.0), (5, 1.0)), 55)._1, 5))
+    for ((g, k) <- graphs) {
+      val local = IPPV.topK(g, CliqueEnum.enumerate(g, 3), k)
+      val viaSpark = IPPV.topK(g, SparkCliqueEnum.fromLocal(spark, g, 3), k)
+      assert(viaSpark.map(_.vertices.toSeq) == local.map(_.vertices.toSeq))
     }
-  }
-
-  test("SparkIPPV with a forced-distributed FW threshold stays exact") {
-    val (g, _) = repro.SynthGraphs.plantedCommunities(30, 0.06, Seq((7, 1.0), (5, 1.0)), 55)
-    val inst = CliqueEnum.enumerate(g, 3)
-    val local = IPPV.topK(g, inst, 5)
-    val viaSpark = SparkIPPV.topK(spark, g, 3, 5, distributedFwThreshold = 1)
-    assert(viaSpark.map(_.vertices.toSeq) == local.map(_.vertices.toSeq))
-  }
-
-  test("verifyBatch verdicts match sequential fastVerify") {
-    val g = TestGraphs.twoCliquesBridged(6, 4)
-    val inst = CliqueEnum.enumerate(g, 3)
-    val cores = repro.clique.CliqueCore.coreNumbers(inst)
-    val ub = cores.map(_.toDouble + 1e-12)
-    val lb = cores.map(_.toDouble / 3 - 1e-9)
-    val none = new Array[Boolean](g.n)
-    val candidates = Seq((0 until 6).toArray, (6 until 10).toArray, Array(0, 1, 2))
-    val batch = SparkIPPV.verifyBatch(spark, g, inst, candidates, ub, lb, none)
-    val seq = candidates.map(vs => Verify.fastVerify(g, inst, vs, ub, lb, none))
-    assert(batch == seq)
   }
 }

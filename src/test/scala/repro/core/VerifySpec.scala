@@ -6,13 +6,6 @@ import repro.graph.LocalGraph
 
 class VerifySpec extends SparkSpec {
 
-  test("lcmUpTo") {
-    assert(Verify.lcmUpTo(2) == 2)
-    assert(Verify.lcmUpTo(3) == 6)
-    assert(Verify.lcmUpTo(5) == 60)
-    assert(Verify.lcmUpTo(9) == 2520)
-  }
-
   /** Brute force: the union of all maximal ρ-compact subgraphs. */
   private def bruteMaximalCompact(g: LocalGraph, inst: InstanceSet, num: Long, den: Long): Set[Int] = {
     val cnt = BruteForce.subsetInstanceCounts(g.n, inst)
@@ -35,7 +28,7 @@ class VerifySpec extends SparkSpec {
         // test at every density value present among connected subsets
         val (num, den) = inst.densityOf((0 until g.n).filter(v => inst.degrees(v) > 0).toArray)
         for ((tn, td) <- Seq((num, den.toLong), (1L, 2L), (1L, 1L), (3L, 2L))) {
-          val side = Verify.deriveCompact(g.n, 3, inst.members, Array.empty, tn, td, -1)
+          val side = Verify.deriveCompact(g.n, 3, inst.members, tn, td, -1)
           val got = (0 until g.n).filter(side(_)).toSet
           val want = bruteMaximalCompact(g, inst, tn, td)
           assert(got == want, s"ρ=$tn/$td got=$got want=$want")
@@ -178,41 +171,15 @@ class VerifySpec extends SparkSpec {
     }
   }
 
-  test("boundary gadget (Fig 7): permanent outside members reproduce the full-graph cut") {
-    // K6 over 0..5; T = {0..4}, x = 5 excluded. Every triangle {i,j,x}
-    // becomes a boundary instance with cnt = 2 and capacity h/cnt = 3/2
-    // into its two T-members. The maximal ρ-compact subgraphs of G
-    // restricted to T must match DeriveCompact(G[T], ρ−δ, P).
-    val g6 = LocalGraph.complete(6)
-    val inst6 = CliqueEnum.enumerate(g6, 3)
-    val tVerts = (0 until 5).toArray
-    val internal = inst6.members.filter(_.forall(_ < 5))
-    val boundary = inst6.members.filter(_.contains(5)).map(_.filter(_ < 5))
-    assert(internal.length == 10 && boundary.length == 10)
-    // ρ = 10/3 (= density of K6): whole K6 is maximal ρ-compact → T side = all
-    val sideLo = Verify.deriveCompact(5, 3, internal, boundary, 10, 3, -1)
-    assert(sideLo.forall(identity))
-    val fullLo = Verify.deriveCompact(6, 3, inst6.members, Array.empty, 10, 3, -1)
-    assert((0 until 5).forall(v => sideLo(v) == fullLo(v)))
-    // The gadget's precondition is φ(outside member) ≥ ρ (the paper uses
-    // it for lb > ρ vertices only). Above that — ρ = 4 > φ(x) = 10/3 —
-    // its "x is permanent and free" semantics legitimately diverge from
-    // the full graph: {0..4} IS 4-compact when x never counts toward the
-    // removal cost (removing any vertex kills 6 internal + 4 boundary
-    // triangles ≥ 4), while nothing in K6 itself is 4-compact.
-    val sideHi = Verify.deriveCompact(5, 3, internal, boundary, 4, 1, -1)
-    val fullHi = Verify.deriveCompact(6, 3, inst6.members, Array.empty, 4, 1, -1)
-    assert(sideHi.forall(identity))
-    assert(!fullHi.exists(identity))
-    // and at ρ = 5 even the permanent-x reading fails (20 weighted
-    // triangles < 5·5 for the full removal)
-    val sideVHi = Verify.deriveCompact(5, 3, internal, boundary, 5, 1, -1)
-    assert(!sideVHi.exists(identity))
+  test("deriveCompact rejects capacities that would overflow a Long") {
+    // the sink side reaches nT·h·den = 9·(Long.MaxValue / 4)
+    intercept[ArithmeticException](
+      Verify.deriveCompact(3, 3, Array(Array(0, 1, 2)), 1, Long.MaxValue / 4, -1))
   }
 
-  test("deriveCompact boundary gadget: P instances raise the compactness as in G") {
-    // K4 (0..3) with vertex 4 adjacent to 0,1,2 (forming extra triangles).
-    // Verify the K4 alone: triangles touching 4 are boundary instances.
+  test("fastVerify equals basicVerify on a K4 with an attached triangle fan") {
+    // K4 (0..3) with vertex 4 adjacent to 0,1,2 (forming extra triangles):
+    // the K4 alone and the whole graph as candidates.
     val g = LocalGraph.fromEdges(5,
       (for (i <- 0 until 4; j <- i + 1 until 4) yield (i, j)) ++ Seq((4, 0), (4, 1), (4, 2)))
     val inst = CliqueEnum.enumerate(g, 3)

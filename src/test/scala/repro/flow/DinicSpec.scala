@@ -30,7 +30,7 @@ class DinicSpec extends SparkSpec {
     val d = new Dinic(4)
     d.addEdge(0, 1, 100); d.addEdge(1, 2, 1); d.addEdge(2, 3, 100)
     assert(d.maxflow(0, 3) == ((1L, 0L)))
-    val cut = d.minCutSourceSide()
+    val cut = d.maxCutSourceSide()
     assert(cut(0) && cut(1) && !cut(2) && !cut(3))
   }
 
@@ -55,16 +55,13 @@ class DinicSpec extends SparkSpec {
     intercept[IllegalArgumentException](d.addEdge(0, 1, 0, -5))
   }
 
-  test("min and max cut sides differ exactly on the indifferent region") {
-    // 0 -> 1 (cap 2) -> 2 (cap 2): both cuts optimal; min side = {0},
-    // max side = {0, 1}
+  test("the cut side is the largest one on an indifferent region") {
+    // 0 -> 1 (cap 2) -> 2 (cap 2): both cuts are optimal; the largest
+    // source side is {0, 1}
     val d = new Dinic(3)
     d.addEdge(0, 1, 2); d.addEdge(1, 2, 2)
     d.maxflow(0, 2)
-    val mn = d.minCutSourceSide()
-    val mx = d.maxCutSourceSide()
-    assert(mn.toSeq == Seq(true, false, false))
-    assert(mx.toSeq == Seq(true, true, false))
+    assert(d.maxCutSourceSide().toSeq == Seq(true, true, false))
   }
 
   /** Brute-force min cut by enumerating source-side subsets. */
@@ -93,14 +90,11 @@ class DinicSpec extends SparkSpec {
       edges.foreach { case (u, v, c) => d.addEdge(u, v, c) }
       val flow = d.maxflow(0, n - 1)._1
       assert(flow == bruteMinCut(n, edges, 0, n - 1))
-      // cut sides must actually be s-t cuts of the computed value
-      val side = d.minCutSourceSide()
+      // the cut side must actually be an s-t cut of the computed value
+      val side = d.maxCutSourceSide()
       val cutVal = edges.collect { case (u, v, c) if side(u) && !side(v) => c }.sum
       assert(cutVal == flow)
-      val mx = d.maxCutSourceSide()
-      val cutValMax = edges.collect { case (u, v, c) if mx(u) && !mx(v) => c }.sum
-      assert(cutValMax == flow)
-      assert(mx(0) && !mx(n - 1) && side(0) && !side(n - 1))
+      assert(side(0) && !side(n - 1))
     }
   }
 }
