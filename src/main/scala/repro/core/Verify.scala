@@ -2,7 +2,6 @@ package repro.core
 
 import repro.flow.Dinic
 import repro.graph.LocalGraph
-import scala.collection.mutable
 
 /** LhCDS verification (Section 4.4): flow-network construction
   * (DeriveCompact), the self-densest check (IsDensest), the basic
@@ -55,7 +54,8 @@ object Verify {
     val nNodes = 2 + nT + instances.length
     val s = nT + instances.length
     val t = s + 1
-    val net = new Dinic(nNodes)
+    // two edges per instance member, at most two per graph vertex; two arcs per edge
+    val net = new Dinic(nNodes, Math.toIntExact(4L * (instances.length.toLong * h + nT)))
 
     // source capacities: instance degree, scaled by den
     val srcCapMain = new Array[Long](nT)
@@ -81,8 +81,8 @@ object Verify {
       v += 1
     }
     net.maxflow(s, t)
-    val side = net.maxCutSourceSide()
-    Array.tabulate(nT)(side(_))
+    // the first nT network nodes are the graph vertices
+    java.util.Arrays.copyOf(net.maxCutSourceSide(), nT)
   }
 
   /** Exact largest densest subgraph of the instance set over `0 until n`
@@ -100,7 +100,7 @@ object Verify {
     while (improved) {
       improved = false
       val side = deriveCompact(n, inst.h, members, bestNum, bestDen, +1)
-      val vs = (0 until n).filter(side(_)).toArray
+      val vs = trueIndices(side)
       if (vs.nonEmpty) {
         val cnt = inst.countWithin(side)
         // strict improvement guaranteed by the +δ threshold
@@ -111,8 +111,7 @@ object Verify {
     }
     // largest maximizer at the optimum
     val side = deriveCompact(n, inst.h, members, bestNum, bestDen, -1)
-    val vs = (0 until n).filter(side(_)).toArray
-    (vs, bestNum, bestDen)
+    (trueIndices(side), bestNum, bestDen)
   }
 
   /** Is G[S] self-densest, i.e. no subgraph of it denser than itself?
@@ -197,19 +196,21 @@ object Verify {
 
     // closure of S under edges to ub ≥ ρ vertices
     val inT = new Array[Boolean](g.n)
-    val queue = new mutable.ArrayDeque[Int]()
-    sSorted.foreach { u => inT(u) = true; queue.append(u) }
+    val queue = new Array[Int](g.n)
+    sSorted.foreach(inT(_) = true)
+    System.arraycopy(sSorted, 0, queue, 0, sSorted.length)
+    var qHead = 0
     var tSize = sSorted.length
-    while (queue.nonEmpty) {
-      val v = queue.removeHead()
+    while (qHead < tSize) {
+      val v = queue(qHead); qHead += 1
       g.foreachNeighbor(v) { w =>
-        if (!inT(w) && ub(w) >= rhoMinus) { inT(w) = true; tSize += 1; queue.append(w) }
+        if (!inT(w) && ub(w) >= rhoMinus) { inT(w) = true; queue(tSize) = w; tSize += 1 }
       }
     }
 
     if (tSize == sSorted.length) return true // cheap True: T = S
 
-    val tVerts = (0 until g.n).filter(inT(_)).toArray
+    val tVerts = trueIndices(inT)
     val sub = inst.remapTo(tVerts)
     val side = deriveCompact(tVerts.length, inst.h, sub.members, num, den, -1)
     val newId = new Array[Int](g.n)
@@ -218,6 +219,18 @@ object Verify {
     while (i < tVerts.length) { newId(tVerts(i)) = i; i += 1 }
     val (subG, _) = g.inducedOn(tVerts)
     isComponentOf(subG, sSorted.map(newId).sorted, side)
+  }
+
+  /** The indices of the true entries of `mask`, ascending. */
+  private def trueIndices(mask: Array[Boolean]): Array[Int] = {
+    var count = 0
+    var v = 0
+    while (v < mask.length) { if (mask(v)) count += 1; v += 1 }
+    val out = new Array[Int](count)
+    count = 0
+    v = 0
+    while (v < mask.length) { if (mask(v)) { out(count) = v; count += 1 }; v += 1 }
+    out
   }
 
   /** Is `sSorted` exactly one connected component of the subgraph induced
